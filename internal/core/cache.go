@@ -15,12 +15,10 @@ import (
 // the same submission on several inputs, an embedder calling the same
 // program in a loop — skip parse, check and bytecode compilation entirely.
 //
-// Entries are keyed by a content hash of the file name and source text
-// together: positions (and therefore error messages) embed the file name,
-// so the same text under two names must compile to two distinct programs.
-// Bytecode entries are additionally keyed by optimization level, because
-// the optimizer rewrites a Program in place — a -O0 and a -O2 caller must
-// never share one.
+// Entries are keyed by ProgramID, a content hash of the file name and
+// source text together. Bytecode entries are additionally keyed by
+// optimization level, because the optimizer rewrites a Program in place —
+// a -O0 and a -O2 caller must never share one.
 //
 // Checked ASTs and compiled bytecode are immutable during execution, so a
 // cached program may be run many times and from multiple goroutines; the
@@ -28,48 +26,58 @@ import (
 type CompileCache struct {
 	mu     sync.Mutex
 	max    int
-	asts   map[[sha256.Size]byte]*ast.Program
+	asts   map[ProgramID]*ast.Program
 	bcs    map[bcKey]*bytecode.Program
 	hits   uint64
 	misses uint64
-	// perKey counts hits per source hash — the hotness signal the native
-	// promotion tier reads. It outlives entry eviction (popularity is not
-	// forgotten because the memo table cycled) but is itself bounded at a
-	// multiple of max so an adversarial stream of unique programs cannot
-	// grow it without bound.
-	perKey map[[sha256.Size]byte]uint64
 }
 
-// bcKey keys the bytecode table. Alongside the source hash and
+// ProgramID is the one identity of a Tetra program: the SHA-256 of its
+// file name and source text with a NUL between them. Positions (and so
+// error messages) embed the file name, so the same text under two names
+// is two programs. Every per-program table — compile cache, quarantine
+// breaker, native promoter, router ring — keys by it, and each process a
+// request crosses computes it once.
+type ProgramID [sha256.Size]byte
+
+// NewProgramID derives the identity of (file, src).
+func NewProgramID(file, src string) ProgramID {
+	h := sha256.New()
+	h.Write([]byte(file))
+	h.Write([]byte{0}) // unambiguous boundary between name and text
+	h.Write([]byte(src))
+	var id ProgramID
+	h.Sum(id[:0])
+	return id
+}
+
+// String is a short hex prefix of the identity, for logs and forensics.
+func (id ProgramID) String() string { return hex.EncodeToString(id[:12]) }
+
+// bcKey keys the bytecode table. Alongside the program identity and
 // optimization level it carries the bytecode IR version: a long-running
 // process that persists across an IR change (or an embedder that seeds the
 // cache from elsewhere) must never replay bytecode compiled under an older
 // instruction encoding on a newer VM. An entry written under a different
 // IRVersion simply misses and the source is recompiled.
 type bcKey struct {
-	hash  [sha256.Size]byte
+	id    ProgramID
 	level int
 	ir    int
 }
 
-// newBCKey builds the lookup/store key for (file, src) at one level under
-// the current IR version.
-func newBCKey(file, src string, level int) bcKey {
-	return bcKey{hash: sourceKey(file, src), level: level, ir: bytecode.IRVersion}
-}
-
-// CacheKey returns the stable hex content-hash key for (file, src) at one
-// optimization level — the same derivation the bytecode table keys entries
-// by (source content hash, level, IRVersion), rendered as a string for use
-// outside this package. A front router that consistent-hashes this key
-// across replicas sends every request for one program to the replica whose
-// compile cache is already warm on it, and an IR bump re-shards exactly
-// like it re-keys the cache.
+// CacheKey returns the stable hex key for (file, src) at one optimization
+// level — the triple the bytecode table keys entries by (ProgramID,
+// level, IRVersion), rendered as a string for use outside this package.
+// A front router that consistent-hashes this key across replicas sends
+// every request for one program to the replica whose compile cache is
+// already warm on it, and an IR bump re-shards exactly like it re-keys
+// the cache.
 func CacheKey(file, src string, level int) string {
-	k := newBCKey(file, src, level)
+	id := NewProgramID(file, src)
 	h := sha256.New()
-	h.Write(k.hash[:])
-	fmt.Fprintf(h, ":%d:%d", k.level, k.ir)
+	h.Write(id[:])
+	fmt.Fprintf(h, ":%d:%d", level, bytecode.IRVersion)
 	sum := h.Sum(nil)
 	return hex.EncodeToString(sum[:16])
 }
@@ -86,138 +94,92 @@ func NewCompileCache(maxEntries int) *CompileCache {
 		maxEntries = DefaultCacheEntries
 	}
 	return &CompileCache{
-		max:    maxEntries,
-		asts:   make(map[[sha256.Size]byte]*ast.Program),
-		bcs:    make(map[bcKey]*bytecode.Program),
-		perKey: make(map[[sha256.Size]byte]uint64),
+		max:  maxEntries,
+		asts: make(map[ProgramID]*ast.Program),
+		bcs:  make(map[bcKey]*bytecode.Program),
 	}
 }
 
 // CacheStats reports cache effectiveness. A lookup that misses the
 // bytecode table but hits the AST table counts one hit and one miss.
-// Tracked counts the distinct program hashes with per-hash hit counters.
 type CacheStats struct {
-	Hits    uint64
-	Misses  uint64
-	Tracked int
+	Hits   uint64
+	Misses uint64
 }
 
 // Stats returns the hit/miss counters accumulated so far.
 func (c *CompileCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Tracked: len(c.perKey)}
-}
-
-// HitCount returns how many cache hits (AST or bytecode) the program
-// (file, src) has accumulated — the per-hash hotness counter the native
-// promotion tier uses to decide what is worth a `go build`.
-func (c *CompileCache) HitCount(file, src string) uint64 {
-	key := sourceKey(file, src)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.perKey[key]
-}
-
-// hitLocked charges one hit to the aggregate and per-hash counters.
-func (c *CompileCache) hitLocked(key [sha256.Size]byte) {
-	c.hits++
-	if len(c.perKey) >= 8*c.max {
-		if _, ok := c.perKey[key]; !ok {
-			// Counter table full and this hash is new: drop an arbitrary
-			// counter. Popularity tracking degrades before memory does.
-			for k := range c.perKey {
-				delete(c.perKey, k)
-				break
-			}
-		}
-	}
-	c.perKey[key]++
-}
-
-// PeekAST reports whether the checked AST for (file, src) is already
-// cached, without compiling or touching the hit/miss counters. The answer
-// is advisory under concurrency — an entry may be evicted or inserted
-// between Peek and Compile — which is fine for its use (per-request
-// cache-hit reporting in the execution service).
-func (c *CompileCache) PeekAST(file, src string) bool {
-	key := sourceKey(file, src)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.asts[key]
-	return ok
-}
-
-// PeekBytecode is PeekAST for the bytecode table at one optimization level.
-func (c *CompileCache) PeekBytecode(file, src string, level int) bool {
-	key := newBCKey(file, src, level)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.bcs[key]
-	return ok
-}
-
-func sourceKey(file, src string) [sha256.Size]byte {
-	h := sha256.New()
-	h.Write([]byte(file))
-	h.Write([]byte{0}) // unambiguous boundary between name and text
-	h.Write([]byte(src))
-	var k [sha256.Size]byte
-	h.Sum(k[:0])
-	return k
+	return CacheStats{Hits: c.hits, Misses: c.misses}
 }
 
 // Compile is core.Compile through the cache: parse+check run only on the
 // first sight of a (file, src) pair. Compile errors are not cached.
 func (c *CompileCache) Compile(file, src string) (*ast.Program, error) {
-	key := sourceKey(file, src)
-	c.mu.Lock()
-	if p, ok := c.asts[key]; ok {
-		c.hitLocked(key)
-		c.mu.Unlock()
-		return p, nil
-	}
-	c.misses++
-	c.mu.Unlock()
-
-	p, err := Compile(file, src)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.evictASTLocked()
-	c.asts[key] = p
-	c.mu.Unlock()
-	return p, nil
+	p, _, err := c.Lookup(NewProgramID(file, src), file, src)
+	return p, err
 }
 
 // CompileBytecode compiles (file, src) to bytecode at the given
 // optimization level through the cache, memoizing both the checked AST and
 // the optimized bytecode.
 func (c *CompileCache) CompileBytecode(file, src string, level int) (*bytecode.Program, error) {
-	key := newBCKey(file, src, level)
+	bc, _, err := c.LookupBytecode(NewProgramID(file, src), file, src, level)
+	return bc, err
+}
+
+// Lookup is Compile for a caller that already holds the program's
+// identity (id must be NewProgramID(file, src)); hit reports whether the
+// checked AST came from the cache.
+func (c *CompileCache) Lookup(id ProgramID, file, src string) (p *ast.Program, hit bool, err error) {
 	c.mu.Lock()
-	if bc, ok := c.bcs[key]; ok {
-		c.hitLocked(key.hash)
+	if p, ok := c.asts[id]; ok {
+		c.hits++
 		c.mu.Unlock()
-		return bc, nil
+		return p, true, nil
 	}
 	c.misses++
 	c.mu.Unlock()
 
-	p, err := c.Compile(file, src)
+	p, err = Compile(file, src)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	bc, err := CompileBytecodeOpt(p, level)
+	c.mu.Lock()
+	c.evictASTLocked()
+	c.asts[id] = p
+	c.mu.Unlock()
+	return p, false, nil
+}
+
+// LookupBytecode is CompileBytecode for a caller that already holds the
+// program's identity; hit reports whether the bytecode came from the
+// cache.
+func (c *CompileCache) LookupBytecode(id ProgramID, file, src string, level int) (bc *bytecode.Program, hit bool, err error) {
+	key := bcKey{id: id, level: level, ir: bytecode.IRVersion}
+	c.mu.Lock()
+	if bc, ok := c.bcs[key]; ok {
+		c.hits++
+		c.mu.Unlock()
+		return bc, true, nil
+	}
+	c.misses++
+	c.mu.Unlock()
+
+	p, _, err := c.Lookup(id, file, src)
 	if err != nil {
-		return nil, err
+		return nil, false, err
+	}
+	bc, err = CompileBytecodeOpt(p, level)
+	if err != nil {
+		return nil, false, err
 	}
 	c.mu.Lock()
 	c.evictBCLocked()
 	c.bcs[key] = bc
 	c.mu.Unlock()
-	return bc, nil
+	return bc, false, nil
 }
 
 func (c *CompileCache) evictASTLocked() {

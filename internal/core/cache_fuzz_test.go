@@ -9,7 +9,7 @@ import (
 // FuzzCompileCacheConcurrent drives a deliberately tiny cache from many
 // goroutines with a mix of valid and invalid sources derived from the fuzz
 // input, forcing constant eviction races between Compile, CompileBytecode
-// and the Peek probes. Invariants: no panic or deadlock, compile results
+// and the identity-keyed lookups. Invariants: no panic or deadlock, compile results
 // are deterministic per source (an entry served from cache and a fresh
 // compile must agree on success/failure), and the hit/miss counters stay
 // coherent.
@@ -65,8 +65,13 @@ func FuzzCompileCacheConcurrent(f *testing.F) {
 							t.Error("nil bytecode without error")
 						}
 					default:
-						c.PeekAST("f.ttr", src)
-						c.PeekBytecode("f.ttr", src, int(n)%3)
+						id := NewProgramID("f.ttr", src)
+						if _, _, err := c.Lookup(id, "f.ttr", src); (err != nil) != gotErr {
+							t.Errorf("cache Lookup disagreed for %q: %v", src, err)
+						}
+						if _, _, err := c.LookupBytecode(id, "f.ttr", src, int(n)%3); (err != nil) != gotErr {
+							t.Errorf("cache LookupBytecode disagreed for %q: %v", src, err)
+						}
 					}
 				}
 			}()

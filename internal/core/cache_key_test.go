@@ -47,3 +47,29 @@ func TestCacheKeyCarriesIRVersion(t *testing.T) {
 // cacheKeyGolden is the recorded CacheKey("p.ttr", "def main():\n    print(6 * 7)\n", 2)
 // under IRVersion 2.
 const cacheKeyGolden = "888deb5767e50c21c12b54388724ec3b"
+
+// TestLookupReportsHit: the lookup that serves a request reports whether
+// its own table hit — a bytecode miss is a miss even when the AST it
+// compiles from was cached — with no second probe.
+func TestLookupReportsHit(t *testing.T) {
+	c := NewCompileCache(8)
+	src := "def main():\n    print(1)\n"
+	id := NewProgramID("a.ttr", src)
+	for i, want := range []bool{false, true} {
+		if _, hit, err := c.Lookup(id, "a.ttr", src); err != nil || hit != want {
+			t.Errorf("Lookup #%d: hit=%v err=%v, want hit=%v", i, hit, err, want)
+		}
+	}
+	for i, want := range []bool{false, true} {
+		if _, hit, err := c.LookupBytecode(id, "a.ttr", src, 2); err != nil || hit != want {
+			t.Errorf("LookupBytecode #%d: hit=%v err=%v, want hit=%v", i, hit, err, want)
+		}
+	}
+	if _, hit, _ := c.LookupBytecode(id, "a.ttr", src, 0); hit {
+		t.Error("a bytecode lookup at another level hit")
+	}
+	// Each bytecode miss also probed the AST table, and hit it.
+	if st := c.Stats(); st.Hits != 4 || st.Misses != 3 {
+		t.Errorf("stats %+v, want 4 hits and 3 misses", st)
+	}
+}

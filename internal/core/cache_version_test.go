@@ -19,18 +19,18 @@ func TestBytecodeCacheMissesOnOldIRVersion(t *testing.T) {
 	// A sentinel program stored under the previous IR version. If the
 	// cache ever returns it, the lookup ignored the version field.
 	stale := &bytecode.Program{MainIndex: -1}
-	oldKey := newBCKey("a.ttr", src, bytecode.O2)
-	oldKey.ir = bytecode.IRVersion - 1
+	id := NewProgramID("a.ttr", src)
+	oldKey := bcKey{id: id, level: bytecode.O2, ir: bytecode.IRVersion - 1}
 	c.mu.Lock()
 	c.bcs[oldKey] = stale
 	c.mu.Unlock()
 
-	if c.PeekBytecode("a.ttr", src, bytecode.O2) {
-		t.Fatal("Peek claims a hit for an entry stored under the old IR version")
-	}
-	bc, err := c.CompileBytecode("a.ttr", src, bytecode.O2)
+	bc, hit, err := c.LookupBytecode(id, "a.ttr", src, bytecode.O2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if hit {
+		t.Fatal("lookup claims a hit for an entry stored under the old IR version")
 	}
 	if bc == stale || bc.MainIndex < 0 {
 		t.Fatal("cache served bytecode compiled under the old IR version")
@@ -38,21 +38,23 @@ func TestBytecodeCacheMissesOnOldIRVersion(t *testing.T) {
 
 	// The recompile stored a fresh entry under the current version; the
 	// stale one is still keyed separately and still never served.
-	if !c.PeekBytecode("a.ttr", src, bytecode.O2) {
-		t.Error("recompiled bytecode not cached under the current IR version")
-	}
-	bc2, err := c.CompileBytecode("a.ttr", src, bytecode.O2)
+	bc2, hit, err := c.LookupBytecode(id, "a.ttr", src, bytecode.O2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bc2 != bc {
+	if !hit || bc2 != bc {
 		t.Error("warm lookup under the current IR version missed")
 	}
 }
 
 func TestBytecodeCacheKeyCarriesCurrentIRVersion(t *testing.T) {
-	key := newBCKey("a.ttr", "def main():\n    pass\n", bytecode.O0)
-	if key.ir != bytecode.IRVersion {
-		t.Errorf("key.ir = %d, want current IRVersion %d", key.ir, bytecode.IRVersion)
+	c := NewCompileCache(8)
+	if _, err := c.CompileBytecode("a.ttr", "def main():\n    pass\n", bytecode.O0); err != nil {
+		t.Fatal(err)
+	}
+	for key := range c.bcs {
+		if key.ir != bytecode.IRVersion {
+			t.Errorf("key.ir = %d, want current IRVersion %d", key.ir, bytecode.IRVersion)
+		}
 	}
 }

@@ -4,7 +4,8 @@
 // interpreting — the paper's §VI future-work compiler finally serving
 // traffic.
 //
-// The lifecycle per program hash:
+// Programs are tracked by core.ProgramID, the identity every per-program
+// table in tetrad shares. The lifecycle per program:
 //
 //	cold ──(Threshold observations)──▶ pending ──▶ building ──▶ ready
 //	  ▲                                                │            │
@@ -20,14 +21,16 @@
 // requests only bump counters and read the artifact table. Emission is
 // deterministic (gogen orders everything by declaration and resets its
 // temp counter per generation), so artifacts are content-addressed by
-// the hash of the generated Go source — a rebuild of unchanged source
-// reuses the artifact on disk, across demotion cycles and across server
-// restarts.
+// the SHA-256 of the generated Go source — a rebuild of unchanged source
+// reuses the artifact on disk, across demotion cycles, across server
+// restarts and across servers sharing one BuildDir.
 package promote
 
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -40,7 +43,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gogen"
-	"repro/internal/worker"
 )
 
 // Config configures a Manager.
@@ -67,10 +69,10 @@ type Config struct {
 	// (default 64); beyond it, promotion stops until the server restarts.
 	MaxArtifacts int
 	// OnReady, when set, is called (from the builder goroutine) with the
-	// program's native hash after every successful build — the server
-	// uses it to acquit stale quarantine entries recorded against the
+	// program's identity after every successful build — the server uses
+	// it to acquit stale quarantine entries recorded against the
 	// program's previous artifact.
-	OnReady func(nativeHash string)
+	OnReady func(id core.ProgramID)
 	// Logf, when set, receives promotion-tier events.
 	Logf func(format string, args ...any)
 
@@ -139,8 +141,8 @@ func (s state) String() string {
 // program is one tracked (file, source) pair.
 type program struct {
 	file, src string
-	hash      string // native program hash (quarantine/artifact key)
-	count     int    // observations since last state change
+	id        core.ProgramID
+	count     int // observations since last state change
 	state     state
 	bin       string // artifact path when ready
 	demotions int
@@ -172,7 +174,7 @@ type Manager struct {
 	root string // module root ("" = toolchain unavailable, tier disabled)
 
 	mu    sync.Mutex
-	byKey map[string]*program
+	byKey map[core.ProgramID]*program
 
 	queue   chan *program
 	closeCh chan struct{}
@@ -190,7 +192,7 @@ func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
 		cfg:     cfg,
-		byKey:   make(map[string]*program),
+		byKey:   make(map[core.ProgramID]*program),
 		queue:   make(chan *program, 64),
 		closeCh: make(chan struct{}),
 	}
@@ -232,29 +234,47 @@ func moduleRoot() (string, error) {
 // Enabled reports whether the tier can build at all.
 func (m *Manager) Enabled() bool { return m != nil && m.root != "" }
 
-// Key returns the native program hash for (file, src) — the key the
-// server and the native runner share for artifacts and quarantine.
-func Key(file, src string) string {
-	return worker.HashProgram(file, src, "native", 0)
-}
-
 // Observe counts one served request for (file, src) and queues the
 // program for promotion once it crosses the threshold (or, for a
 // demoted program, once the cooldown has passed).
 func (m *Manager) Observe(file, src string) {
+	m.Dispatch(core.NewProgramID(file, src), file, src)
+}
+
+// Artifact answers the native binary for (file, src) when one is ready.
+func (m *Manager) Artifact(file, src string) (string, bool) {
 	if !m.Enabled() {
-		return
+		return "", false
 	}
-	key := Key(file, src)
 	m.mu.Lock()
-	p := m.byKey[key]
+	defer m.mu.Unlock()
+	if p := m.byKey[core.NewProgramID(file, src)]; p != nil && p.state == stateReady {
+		return p.bin, true
+	}
+	return "", false
+}
+
+// Dispatch is the per-request entry point for a caller that already
+// holds the program's identity (id must be core.NewProgramID(file,
+// src)): it answers the ready artifact, or else counts the request as
+// an observation, like Observe.
+func (m *Manager) Dispatch(id core.ProgramID, file, src string) (bin string, ok bool) {
+	if !m.Enabled() {
+		return "", false
+	}
+	m.mu.Lock()
+	p := m.byKey[id]
 	if p == nil {
 		if len(m.byKey) >= maxTracked {
 			m.mu.Unlock()
-			return
+			return "", false
 		}
-		p = &program{file: file, src: src, hash: key}
-		m.byKey[key] = p
+		p = &program{file: file, src: src, id: id}
+		m.byKey[id] = p
+	}
+	if p.state == stateReady {
+		m.mu.Unlock()
+		return p.bin, true
 	}
 	p.count++
 	enqueue := false
@@ -278,33 +298,19 @@ func (m *Manager) Observe(file, src string) {
 			m.mu.Unlock()
 		}
 	}
-}
-
-// Artifact answers the native binary for (file, src) when one is ready.
-func (m *Manager) Artifact(file, src string) (string, bool) {
-	if !m.Enabled() {
-		return "", false
-	}
-	key := Key(file, src)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if p := m.byKey[key]; p != nil && p.state == stateReady {
-		return p.bin, true
-	}
 	return "", false
 }
 
-// Demote pulls (file, src) off the native tier after its artifact
+// Demote pulls program id off the native tier after its artifact
 // crashed: the artifact is forgotten, the hotness counter resets, and
 // the program may re-promote only after RebuildBackoff — unless it has
 // burned MaxDemotions already, in which case it is pinned to the VM.
-func (m *Manager) Demote(file, src, reason string) {
+func (m *Manager) Demote(id core.ProgramID, reason string) {
 	if !m.Enabled() {
 		return
 	}
-	key := Key(file, src)
 	m.mu.Lock()
-	p := m.byKey[key]
+	p := m.byKey[id]
 	if p == nil || p.state != stateReady {
 		m.mu.Unlock()
 		return
@@ -317,13 +323,13 @@ func (m *Manager) Demote(file, src, reason string) {
 	if p.demotions >= m.cfg.MaxDemotions {
 		p.state = stateFailed
 		m.mu.Unlock()
-		m.logf("native demotion: %s pinned to vm after %d demotions (%s)", key, p.demotions, reason)
+		m.logf("native demotion: %s pinned to vm after %d demotions (%s)", id, p.demotions, reason)
 		return
 	}
 	p.state = stateCooling
 	p.notBefore = m.cfg.now().Add(m.cfg.RebuildBackoff)
 	m.mu.Unlock()
-	m.logf("native demotion: %s cooling for %s (%s)", key, m.cfg.RebuildBackoff, reason)
+	m.logf("native demotion: %s cooling for %s (%s)", id, m.cfg.RebuildBackoff, reason)
 }
 
 // Stats snapshots the tier.
@@ -429,16 +435,16 @@ func (m *Manager) build(p *program) {
 	case stateReady:
 		if reused {
 			m.reuses.Add(1)
-			m.logf("native promote: %s -> %s (artifact reused)", p.hash, bin)
+			m.logf("native promote: %s -> %s (artifact reused)", p.id, bin)
 		} else {
 			m.builds.Add(1)
-			m.logf("native promote: %s -> %s", p.hash, bin)
+			m.logf("native promote: %s -> %s", p.id, bin)
 		}
 		if m.cfg.OnReady != nil {
-			m.cfg.OnReady(p.hash)
+			m.cfg.OnReady(p.id)
 		}
 	default:
-		m.logf("native build failed (%s): %s: %v", st, p.hash, err)
+		m.logf("native build failed (%s): %s: %v", st, p.id, err)
 	}
 }
 
@@ -458,7 +464,8 @@ func isCompileError(err error) bool {
 // native binary. Artifacts are content-addressed by the generated
 // source's hash, so an identical program (even across restarts or
 // demotion cycles) reuses the binary on disk without invoking the
-// toolchain.
+// toolchain. Each build writes its own temp file before the rename, so
+// two managers sharing BuildDir may build the same program at once.
 func (m *Manager) compileAndBuild(p *program) (bin string, reused bool, err error) {
 	prog, err := core.Compile(p.file, p.src)
 	if err != nil {
@@ -468,7 +475,8 @@ func (m *Manager) compileAndBuild(p *program) (bin string, reused bool, err erro
 	if err != nil {
 		return "", false, &compileError{err}
 	}
-	bin = filepath.Join(m.cfg.BuildDir, worker.HashProgram("gogen", goSrc, "native", 0)+".bin")
+	sum := sha256.Sum256([]byte(goSrc))
+	bin = filepath.Join(m.cfg.BuildDir, hex.EncodeToString(sum[:12])+".bin")
 	if fi, statErr := os.Stat(bin); statErr == nil && fi.Mode().IsRegular() && fi.Mode()&0o111 != 0 {
 		return bin, true, nil
 	}
@@ -484,9 +492,14 @@ func (m *Manager) compileAndBuild(p *program) (bin string, reused bool, err erro
 		return "", false, err
 	}
 
+	f, err := os.CreateTemp(m.cfg.BuildDir, filepath.Base(bin)+".*.tmp")
+	if err != nil {
+		return "", false, err
+	}
+	tmp := f.Name()
+	f.Close()
 	ctx, cancel := context.WithTimeout(m.ctx, m.cfg.BuildTimeout)
 	defer cancel()
-	tmp := bin + ".tmp"
 	cmd := exec.CommandContext(ctx, m.cfg.GoTool, "build", "-o", tmp, "./"+filepath.Base(dir))
 	cmd.Dir = m.root
 	var errOut bytes.Buffer

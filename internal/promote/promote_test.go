@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 const helloSrc = "def main():\n    print(1 + 2)\n"
@@ -28,11 +30,11 @@ func waitArtifact(t *testing.T, m *Manager, file, src string, wait time.Duration
 // waitState polls until the tracked program reaches the wanted state.
 func waitState(t *testing.T, m *Manager, file, src string, want state, wait time.Duration) {
 	t.Helper()
-	key := Key(file, src)
+	id := core.NewProgramID(file, src)
 	deadline := time.Now().Add(wait)
 	for time.Now().Before(deadline) {
 		m.mu.Lock()
-		p := m.byKey[key]
+		p := m.byKey[id]
 		st := stateCold
 		if p != nil {
 			st = p.state
@@ -48,13 +50,13 @@ func waitState(t *testing.T, m *Manager, file, src string, want state, wait time
 
 func TestThresholdPromotesAndBuildsArtifact(t *testing.T) {
 	var mu sync.Mutex
-	var readyHashes []string
+	var readyIDs []core.ProgramID
 	m := New(Config{
 		Threshold: 3,
 		BuildDir:  t.TempDir(),
-		OnReady: func(h string) {
+		OnReady: func(id core.ProgramID) {
 			mu.Lock()
-			readyHashes = append(readyHashes, h)
+			readyIDs = append(readyIDs, id)
 			mu.Unlock()
 		},
 		Logf: t.Logf,
@@ -79,11 +81,12 @@ func TestThresholdPromotesAndBuildsArtifact(t *testing.T) {
 	if fi.Mode()&0o111 == 0 {
 		t.Fatalf("artifact %s is not executable (mode %v)", bin, fi.Mode())
 	}
+	want := core.NewProgramID("hot.ttr", helloSrc)
 	mu.Lock()
-	gotReady := len(readyHashes) == 1 && readyHashes[0] == Key("hot.ttr", helloSrc)
+	gotReady := len(readyIDs) == 1 && readyIDs[0] == want
 	mu.Unlock()
 	if !gotReady {
-		t.Errorf("OnReady hashes = %v, want exactly [%s]", readyHashes, Key("hot.ttr", helloSrc))
+		t.Errorf("OnReady ids = %v, want exactly [%s]", readyIDs, want)
 	}
 	st := m.Stats()
 	if st.Ready != 1 || st.Builds+st.ArtifactReuses != 1 {
@@ -113,6 +116,52 @@ func TestArtifactReusedAcrossRestart(t *testing.T) {
 	st := m2.Stats()
 	if st.Builds != 0 || st.ArtifactReuses != 1 {
 		t.Errorf("restart should reuse, not rebuild: %+v", st)
+	}
+}
+
+// TestSharedBuildDirConcurrentBuilds: two managers (two servers on one
+// host) sharing a build dir build the same program at the same moment.
+// Each build must stage its own temp file, so neither fails on the
+// other's output. The stand-in toolchain writes its output and then
+// lingers, so both builds have written before either renames — with a
+// shared temp name, the second rename would find it gone.
+func TestSharedBuildDirConcurrentBuilds(t *testing.T) {
+	dir := t.TempDir()
+	tool := filepath.Join(t.TempDir(), "go")
+	script := "#!/bin/sh\n# build -o OUT PKG\nprintf '#!/bin/sh\\n' > \"$3\" && chmod +x \"$3\" && sleep 0.3\n"
+	if err := os.WriteFile(tool, []byte(script), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var ms [2]*Manager
+	for i := range ms {
+		ms[i] = New(Config{Threshold: 1, BuildDir: dir, GoTool: tool, Logf: t.Logf})
+		if !ms[i].Enabled() {
+			t.Skip("no Go toolchain/module; native tier disabled")
+		}
+		defer ms[i].Close()
+	}
+	var wg sync.WaitGroup
+	for _, m := range ms {
+		wg.Add(1)
+		go func(m *Manager) {
+			defer wg.Done()
+			m.Observe("shared.ttr", helloSrc)
+		}(m)
+	}
+	wg.Wait()
+	for i, m := range ms {
+		deadline := time.Now().Add(time.Minute)
+		st := m.Stats()
+		for st.Ready+int(st.BuildFailures) == 0 && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+			st = m.Stats()
+		}
+		if st.BuildFailures != 0 || st.Ready != 1 {
+			t.Errorf("manager %d: %+v", i, st)
+		}
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("temp build outputs left behind: %v", tmps)
 	}
 }
 
@@ -204,15 +253,15 @@ func TestDemoteCoolsThenPins(t *testing.T) {
 	}
 	defer m.Close()
 
-	key := Key("demote.ttr", helloSrc)
+	id := core.NewProgramID("demote.ttr", helloSrc)
 	// Install a ready program directly — this test is about the demotion
 	// state machine, not the build pipeline.
 	seedReady := func() {
 		m.mu.Lock()
-		p := m.byKey[key]
+		p := m.byKey[id]
 		if p == nil {
-			p = &program{file: "demote.ttr", src: helloSrc, hash: key}
-			m.byKey[key] = p
+			p = &program{file: "demote.ttr", src: helloSrc, id: id}
+			m.byKey[id] = p
 		}
 		p.state = stateReady
 		p.bin = "/nonexistent.bin"
@@ -220,7 +269,7 @@ func TestDemoteCoolsThenPins(t *testing.T) {
 	}
 
 	seedReady()
-	m.Demote("demote.ttr", helloSrc, "killed by signal")
+	m.Demote(id, "killed by signal")
 	if _, ok := m.Artifact("demote.ttr", helloSrc); ok {
 		t.Fatal("artifact still served after demotion")
 	}
@@ -229,13 +278,13 @@ func TestDemoteCoolsThenPins(t *testing.T) {
 	}
 	// Demoting a non-ready program is a no-op (concurrent crashes of the
 	// same artifact must not double-count).
-	m.Demote("demote.ttr", helloSrc, "again")
+	m.Demote(id, "again")
 	if st := m.Stats(); st.Demotions != 1 {
 		t.Fatalf("demotion double-counted: %+v", st)
 	}
 
 	seedReady()
-	m.Demote("demote.ttr", helloSrc, "killed again")
+	m.Demote(id, "killed again")
 	st := m.Stats()
 	if st.Demotions != 2 || st.Pinned != 1 {
 		t.Fatalf("second demotion should pin to the VM: %+v", st)
@@ -247,19 +296,6 @@ func TestDemoteCoolsThenPins(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if _, ok := m.Artifact("demote.ttr", helloSrc); ok {
 		t.Fatal("pinned program re-promoted")
-	}
-}
-
-func TestKeyDistinguishesPrograms(t *testing.T) {
-	a := Key("a.ttr", helloSrc)
-	if b := Key("b.ttr", helloSrc); b == a {
-		t.Error("file name not part of the key")
-	}
-	if c := Key("a.ttr", helloSrc+"\n"); c == a {
-		t.Error("source not part of the key")
-	}
-	if d := Key("a.ttr", helloSrc); d != a {
-		t.Error("key not deterministic")
 	}
 }
 
@@ -276,7 +312,7 @@ func TestDisabledManagerIsInert(t *testing.T) {
 	if _, ok := m.Artifact("x.ttr", helloSrc); ok {
 		t.Fatal("disabled manager served an artifact")
 	}
-	m.Demote("x.ttr", helloSrc, "?") // no-op
+	m.Demote(core.NewProgramID("x.ttr", helloSrc), "?") // no-op
 	if st := m.Stats(); st.Enabled || st.Tracked != 0 {
 		t.Fatalf("disabled manager tracked state: %+v", st)
 	}

@@ -319,11 +319,7 @@ func programKey(body []byte) string {
 		if file == "" {
 			file = "prog.ttr"
 		}
-		level := server.MaxOptLevel
-		if req.Opt != nil && *req.Opt >= 0 && *req.Opt <= server.MaxOptLevel {
-			level = *req.Opt
-		}
-		return core.CacheKey(file, req.Source, level)
+		return core.CacheKey(file, req.Source, server.OptLevel(req.Opt))
 	}
 	return "raw:" + core.CacheKey("raw", string(body), 0)
 }

@@ -207,13 +207,16 @@ func (r *RunRequest) Validate() error {
 	return nil
 }
 
-// optLevel resolves the request's optimization level to the internal
-// bytecode level.
-func (r *RunRequest) optLevel() int {
-	if r.Opt == nil {
+// OptLevel resolves a request's "opt" field to the bytecode level it
+// runs at: omitted selects bytecode.DefaultLevel. It is the one place the
+// default is decided — the front router calls it to place a request on
+// the replica that will compile it at this level. An out-of-range level
+// (which Validate rejects) resolves to the default too.
+func OptLevel(opt *int) int {
+	if opt == nil || *opt < 0 || *opt > MaxOptLevel {
 		return bytecode.DefaultLevel
 	}
-	return *r.Opt
+	return *opt
 }
 
 // ClampLimits combines a request's limit overrides with the server-wide

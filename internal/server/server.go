@@ -219,6 +219,7 @@ type Server struct {
 	pool     *worker.Pool         // nil when isolation is off
 	promoter *promote.Manager     // nil when the native tier is off
 	native   *worker.NativeRunner // nil when the native tier is off
+	quar     *quarantine
 	sessions *session.Registry
 	sem      chan struct{}
 
@@ -243,6 +244,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		cache:   core.NewCompileCache(opts.CacheEntries),
+		quar:    newQuarantine(opts.Quarantine),
 		sem:     make(chan struct{}, opts.MaxInFlight),
 		drainCh: make(chan struct{}),
 		running: make(map[uint64]worker.Canceler),
@@ -255,33 +257,28 @@ func New(opts Options) *Server {
 	})
 	if opts.Isolation == IsolationPool {
 		s.pool = worker.NewPool(worker.Options{
-			Cmd:        opts.WorkerCmd,
-			Env:        opts.WorkerEnv,
-			Size:       opts.PoolSize,
-			Retry:      opts.Retry,
-			Quarantine: opts.Quarantine,
-			Logf:       opts.Logf,
+			Cmd:   opts.WorkerCmd,
+			Env:   opts.WorkerEnv,
+			Size:  opts.PoolSize,
+			Retry: opts.Retry,
+			Logf:  opts.Logf,
 		})
 	}
 	if opts.NativeThreshold > 0 {
 		native := worker.NewNativeRunner(worker.NativeOptions{
-			Quarantine: opts.Quarantine,
-			Faults:     opts.Faults,
-			Logf:       opts.Logf,
+			Faults: opts.Faults,
+			Logf:   opts.Logf,
 		})
 		promoter := promote.New(promote.Config{
 			Threshold:      opts.NativeThreshold,
 			BuildDir:       opts.NativeBuildDir,
 			RebuildBackoff: opts.NativeRebuildBackoff,
 			Logf:           opts.Logf,
-			OnReady: func(nativeHash string) {
+			OnReady: func(id core.ProgramID) {
 				// A fresh artifact wipes the slate: crashes recorded
 				// against the program's previous binary must not hold it
-				// behind a stale quarantine (in either breaker).
-				native.Acquit(nativeHash)
-				if s.pool != nil {
-					s.pool.Acquit(nativeHash)
-				}
+				// behind a stale quarantine.
+				s.quar.Acquit(breakerKey{id: id, engine: TierNative})
 				s.met.promotions.Add(1)
 			},
 		})
@@ -426,14 +423,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		panic("fault injected: handler panic")
 	}
 
-	// The quarantine circuit breaker rejects known worker-killers
-	// before they cost an admission slot or another worker.
-	hash := worker.HashProgram(req.File, req.Source, req.Backend, req.optLevel())
-	if s.pool != nil {
-		if d, ok := s.pool.Quarantined(hash); ok {
-			s.reject422(w, req, d)
-			return
-		}
+	// The program's identity is derived once here and keys every
+	// per-program table below. The quarantine circuit breaker rejects
+	// known worker-killers before they cost an admission slot or another
+	// worker.
+	id := core.NewProgramID(req.File, req.Source)
+	if d, ok := s.quar.Quarantined(breakerKey{id: id, engine: req.Backend, opt: OptLevel(req.Opt)}); ok {
+		s.reject422(w, req, d)
+		return
 	}
 
 	release, status, msg := s.admit(r)
@@ -452,7 +449,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	resp, errStatus, errMsg, retryIn := s.execute(req, hash, reqID)
+	resp, errStatus, errMsg, retryIn := s.execute(req, id, reqID)
 	if errStatus != 0 {
 		if errStatus == http.StatusUnprocessableEntity {
 			s.reject422(w, req, retryIn)
@@ -515,7 +512,7 @@ func (s *Server) admit(r *http.Request) (release func(), status int, msg string)
 // execute runs one admitted request on the appropriate tier. On success
 // (including programs that fail to compile or die at runtime — those are
 // data) it returns a response; otherwise a non-zero HTTP status.
-func (s *Server) execute(req *RunRequest, hash, reqID string) (resp *RunResponse, errStatus int, errMsg string, retryIn time.Duration) {
+func (s *Server) execute(req *RunRequest, id core.ProgramID, reqID string) (resp *RunResponse, errStatus int, errMsg string, retryIn time.Duration) {
 	eff := ClampLimits(req.Limits, s.opts.Ceiling)
 	wreq := &worker.Request{
 		RequestID: reqID,
@@ -523,7 +520,7 @@ func (s *Server) execute(req *RunRequest, hash, reqID string) (resp *RunResponse
 		File:      req.File,
 		Stdin:     req.Stdin,
 		Backend:   req.Backend,
-		Opt:       req.optLevel(),
+		Opt:       OptLevel(req.Opt),
 		Trace:     req.Trace,
 		Race:      req.Race,
 		TraceCap:  req.TraceCap,
@@ -536,7 +533,7 @@ func (s *Server) execute(req *RunRequest, hash, reqID string) (resp *RunResponse
 	// event collector.
 	prior := 0
 	if s.native != nil && !req.Trace && !req.Race {
-		resp, served, attempted := s.runNative(wreq, req, reqID)
+		resp, served, attempted := s.runNative(wreq, req, id, reqID)
 		if served {
 			return resp, 0, "", 0
 		}
@@ -544,7 +541,8 @@ func (s *Server) execute(req *RunRequest, hash, reqID string) (resp *RunResponse
 	}
 
 	if s.pool != nil {
-		resp, errStatus, errMsg, retryIn, fellThrough := s.runOnPool(wreq, req, hash, reqID, prior)
+		key := breakerKey{id: id, engine: req.Backend, opt: wreq.Opt}
+		resp, errStatus, errMsg, retryIn, fellThrough := s.runOnPool(wreq, req, key, reqID, prior)
 		if !fellThrough {
 			return resp, errStatus, errMsg, retryIn
 		}
@@ -553,7 +551,7 @@ func (s *Server) execute(req *RunRequest, hash, reqID string) (resp *RunResponse
 		s.met.fallbacks.Add(1)
 		s.logf("worker pool exhausted; running req %s in-process (degraded)", reqID)
 	}
-	return s.runInProcess(wreq, req, reqID, prior), 0, "", 0
+	return s.runInProcess(wreq, req, id, reqID, prior), 0, "", 0
 }
 
 // runNative tries the promoted-artifact tier. served=false means the
@@ -561,17 +559,16 @@ func (s *Server) execute(req *RunRequest, hash, reqID string) (resp *RunResponse
 // yet, artifact quarantined, or the artifact crashed and was demoted);
 // attempted counts the crashed attempt, if any, so the final response's
 // Attempts reflects the whole journey.
-func (s *Server) runNative(wreq *worker.Request, req *RunRequest, reqID string) (resp *RunResponse, served bool, attempted int) {
-	nhash := promote.Key(req.File, req.Source)
-	bin, ok := s.promoter.Artifact(req.File, req.Source)
+func (s *Server) runNative(wreq *worker.Request, req *RunRequest, id core.ProgramID, reqID string) (resp *RunResponse, served bool, attempted int) {
+	// Without an artifact, Dispatch counts this request as the hotness
+	// signal: the server counts requests itself because worker processes
+	// keep private compile caches it cannot see into.
+	bin, ok := s.promoter.Dispatch(id, req.File, req.Source)
 	if !ok {
-		// Not promoted (yet): this request is the hotness signal. The
-		// supervisor counts requests itself because worker processes
-		// keep private compile caches it cannot see into.
-		s.promoter.Observe(req.File, req.Source)
 		return nil, false, 0
 	}
-	if _, q := s.native.Quarantined(nhash); q {
+	key := breakerKey{id: id, engine: TierNative}
+	if _, q := s.quar.Quarantined(key); q {
 		// The artifact is circuit-broken but the program itself is fine:
 		// skip the native tier rather than 422 the request.
 		s.met.nativeSkips.Add(1)
@@ -584,17 +581,10 @@ func (s *Server) runNative(wreq *worker.Request, req *RunRequest, reqID string) 
 	defer untrack()
 
 	wresp, err := s.native.Run(bin, wreq, worker.RunInfo{
-		Hash: nhash,
 		Stop: stop,
-		OnCrash: func(c worker.Crash) {
-			s.met.recordCrash(CrashRecord{
-				UnixMS:    time.Now().UnixMilli(),
-				RequestID: reqID,
-				Hash:      nhash,
-				PID:       c.PID,
-				Attempt:   c.Attempt,
-				Reason:    c.Reason,
-			})
+		OnCrash: func(c worker.Crash) bool {
+			_, tripped := s.recordCrash(reqID, key, c)
+			return tripped
 		},
 	})
 	if err == nil {
@@ -604,7 +594,7 @@ func (s *Server) runNative(wreq *worker.Request, req *RunRequest, reqID string) 
 	if errors.Is(err, worker.ErrCancelled) {
 		s.met.runtimeErrors.Add(1)
 		return &RunResponse{
-			Backend: req.Backend, Opt: req.optLevel(),
+			Backend: req.Backend, Opt: OptLevel(req.Opt),
 			Isolation: TierNative, Attempts: 1, RequestID: reqID,
 			Error: &RunError{Stage: "runtime", Message: "execution cancelled: server is draining"},
 		}, true, 0
@@ -614,21 +604,22 @@ func (s *Server) runNative(wreq *worker.Request, req *RunRequest, reqID string) 
 		// Demote and retry on the VM tier — transparently, within this
 		// same request.
 		s.met.nativeDemotions.Add(1)
-		s.promoter.Demote(req.File, req.Source, ne.Reason)
-		s.logf("native artifact crashed (req %s, hash %s): %s; demoted, retrying on %s tier",
-			reqID, nhash, ne.Reason, req.Backend)
+		s.promoter.Demote(id, ne.Reason)
+		s.logf("native artifact crashed (req %s, program %s): %s; demoted, retrying on %s tier",
+			reqID, id, ne.Reason, req.Backend)
 		return nil, false, 1
 	}
-	// ErrClosed (drain race) or quarantine tripped between check and run:
-	// fall through without counting an attempt.
+	// ErrClosed (drain race): fall through without counting an attempt.
 	return nil, false, 0
 }
 
 // runOnPool executes on a supervised worker, with crash forensics.
 // fellThrough=true means the caller should degrade to in-process. prior
 // counts earlier attempts on other tiers (a crashed native run), so
-// Attempts in the response reflects the whole journey.
-func (s *Server) runOnPool(wreq *worker.Request, req *RunRequest, hash, reqID string, prior int) (resp *RunResponse, errStatus int, errMsg string, retryIn time.Duration, fellThrough bool) {
+// Attempts in the response reflects the whole journey. Every crash feeds
+// the breaker under key; once it trips, the pool stops retrying and the
+// request is answered 422.
+func (s *Server) runOnPool(wreq *worker.Request, req *RunRequest, key breakerKey, reqID string, prior int) (resp *RunResponse, errStatus int, errMsg string, retryIn time.Duration, fellThrough bool) {
 	// Register a canceler so a draining server can abort the worker
 	// round-trip (the pool kills the leased worker).
 	stop := make(chan struct{})
@@ -637,20 +628,14 @@ func (s *Server) runOnPool(wreq *worker.Request, req *RunRequest, hash, reqID st
 	defer untrack()
 
 	crashes := 0
+	quarantined := false
 	start := time.Now()
 	wresp, err := s.pool.Run(wreq, worker.RunInfo{
-		Hash: hash,
 		Stop: stop,
-		OnCrash: func(c worker.Crash) {
+		OnCrash: func(c worker.Crash) bool {
 			crashes++
-			s.met.recordCrash(CrashRecord{
-				UnixMS:    time.Now().UnixMilli(),
-				RequestID: reqID,
-				Hash:      hash,
-				PID:       c.PID,
-				Attempt:   c.Attempt,
-				Reason:    c.Reason,
-			})
+			retryIn, quarantined = s.recordCrash(reqID, key, c)
+			return quarantined
 		},
 	})
 	wall := time.Since(start)
@@ -665,11 +650,11 @@ func (s *Server) runOnPool(wreq *worker.Request, req *RunRequest, hash, reqID st
 		return s.toRunResponse(wresp, req, TierWorker, prior+crashes+1, reqID), 0, "", 0, false
 	}
 
-	var qe *worker.QuarantinedError
+	if quarantined {
+		return nil, http.StatusUnprocessableEntity, "", retryIn, false
+	}
 	var ce *worker.CrashedError
 	switch {
-	case errors.As(err, &qe):
-		return nil, http.StatusUnprocessableEntity, "", qe.Remaining, false
 	case errors.As(err, &ce):
 		return nil, http.StatusServiceUnavailable,
 			fmt.Sprintf("execution crashed %d worker(s); retry later", ce.Attempts), 0, false
@@ -677,7 +662,7 @@ func (s *Server) runOnPool(wreq *worker.Request, req *RunRequest, hash, reqID st
 		// Drain killed the attempt: report it like a governor trip, as
 		// the in-process path would.
 		resp := &RunResponse{
-			Backend: req.Backend, Opt: req.optLevel(),
+			Backend: req.Backend, Opt: OptLevel(req.Opt),
 			Isolation: TierWorker, Attempts: prior + crashes + 1, RequestID: reqID,
 			Error: &RunError{Stage: "runtime", Message: "execution cancelled: server is draining"},
 		}
@@ -688,24 +673,39 @@ func (s *Server) runOnPool(wreq *worker.Request, req *RunRequest, hash, reqID st
 	}
 }
 
+// recordCrash files the forensics for one crash of key's execution
+// process and feeds the breaker, reporting whether key is now
+// quarantined and for how long.
+func (s *Server) recordCrash(reqID string, key breakerKey, c worker.Crash) (time.Duration, bool) {
+	s.met.recordCrash(CrashRecord{
+		UnixMS:    time.Now().UnixMilli(),
+		RequestID: reqID,
+		Hash:      key.id.String(),
+		PID:       c.PID,
+		Attempt:   c.Attempt,
+		Reason:    c.Reason,
+	})
+	return s.quar.Record(key)
+}
+
 // runInProcess is the degraded tier: execution in the server's own
 // process, with panic recovery so a backend bug costs one request, not
 // the service.
-func (s *Server) runInProcess(wreq *worker.Request, req *RunRequest, reqID string, prior int) (resp *RunResponse) {
+func (s *Server) runInProcess(wreq *worker.Request, req *RunRequest, id core.ProgramID, reqID string, prior int) (resp *RunResponse) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.met.panics.Add(1)
 			s.logf("panic in in-process execution (req %s): %v", reqID, rec)
 			s.met.runtimeErrors.Add(1)
 			resp = &RunResponse{
-				Backend: req.Backend, Opt: req.optLevel(),
+				Backend: req.Backend, Opt: OptLevel(req.Opt),
 				Isolation: TierInProc, Attempts: prior + 1, RequestID: reqID,
 				Error: &RunError{Stage: "runtime",
 					Message: fmt.Sprintf("internal error: execution panicked: %v", rec)},
 			}
 		}
 	}()
-	wresp := worker.ExecuteTracked(wreq, s.cache, s.track)
+	wresp := worker.ExecuteTracked(wreq, id, s.cache, s.track)
 	return s.toRunResponse(wresp, req, TierInProc, prior+1, reqID)
 }
 
@@ -715,7 +715,7 @@ func (s *Server) toRunResponse(wresp *worker.Response, req *RunRequest, tier str
 	resp := &RunResponse{
 		OK:            wresp.OK,
 		Backend:       req.Backend,
-		Opt:           req.optLevel(),
+		Opt:           OptLevel(req.Opt),
 		Stdout:        wresp.Stdout,
 		CacheHit:      wresp.CacheHit,
 		CompileMicros: wresp.CompileMicros,
@@ -839,13 +839,16 @@ func (s *Server) Metrics() MetricsSnapshot {
 	ss := s.sessions.Snapshot()
 	snap.Sessions = &ss
 	snap.Latency["stream_lag"] = s.met.latStreamLag.snapshot()
+	poolQuar, nativeQuar := s.quar.Counts()
 	if s.pool != nil {
 		ps := s.pool.Stats()
+		ps.Quarantined = poolQuar
 		snap.Worker = &ps
 		snap.Latency["isolation_overhead"] = s.met.latOverhead.snapshot()
 	}
 	if s.native != nil {
 		ns := s.native.Stats()
+		ns.Quarantined = nativeQuar
 		snap.Native = &ns
 		pr := s.promoter.Stats()
 		snap.Promote = &pr

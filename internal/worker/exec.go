@@ -28,13 +28,15 @@ type Canceler interface{ Cancel() }
 // supervisor's whole job is to observe the death and retry elsewhere;
 // the in-process caller wraps its own recovery around it.
 func Execute(req *Request, cache *core.CompileCache) *Response {
-	return ExecuteTracked(req, cache, nil)
+	return ExecuteTracked(req, core.NewProgramID(req.File, req.Source), cache, nil)
 }
 
-// ExecuteTracked is Execute with a hook that receives the live backend
-// before the run starts, so a draining server can cancel in-process
-// executions through the governor trip path.
-func ExecuteTracked(req *Request, cache *core.CompileCache, track func(Canceler) (untrack func())) *Response {
+// ExecuteTracked is Execute for a caller that already holds the
+// program's identity (id must be core.NewProgramID(req.File,
+// req.Source)), with a hook that receives the live backend before the
+// run starts, so a draining server can cancel in-process executions
+// through the governor trip path.
+func ExecuteTracked(req *Request, id core.ProgramID, cache *core.CompileCache, track func(Canceler) (untrack func())) *Response {
 	resp := &Response{Seq: req.Seq}
 
 	var out bytes.Buffer
@@ -55,16 +57,16 @@ func ExecuteTracked(req *Request, cache *core.CompileCache, track func(Canceler)
 	var c Canceler
 	switch req.Backend {
 	case "vm":
-		resp.CacheHit = cache.PeekBytecode(req.File, req.Source, req.Opt)
-		bc, err := cache.CompileBytecode(req.File, req.Source, req.Opt)
+		bc, hit, err := cache.LookupBytecode(id, req.File, req.Source, req.Opt)
+		resp.CacheHit = hit
 		if err != nil {
 			return compileFailed(resp, err, compileStart)
 		}
 		m := core.NewVM(bc, cfg)
 		run, c = m.Run, m
 	case "", "interp":
-		resp.CacheHit = cache.PeekAST(req.File, req.Source)
-		prog, err := cache.Compile(req.File, req.Source)
+		prog, hit, err := cache.Lookup(id, req.File, req.Source)
+		resp.CacheHit = hit
 		if err != nil {
 			return compileFailed(resp, err, compileStart)
 		}

@@ -52,7 +52,7 @@ func TestNativeRunSuccess(t *testing.T) {
 	r := worker.NewNativeRunner(worker.NativeOptions{Logf: t.Logf})
 	defer r.Close()
 
-	resp, err := r.Run(bin, &worker.Request{Seq: 7, RequestID: "r1"}, worker.RunInfo{Hash: "h1"})
+	resp, err := r.Run(bin, &worker.Request{Seq: 7, RequestID: "r1"}, worker.RunInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestNativeStdinReachesProgram(t *testing.T) {
 	r := worker.NewNativeRunner(worker.NativeOptions{Logf: t.Logf})
 	defer r.Close()
 
-	resp, err := r.Run(bin, &worker.Request{Stdin: "hello\n"}, worker.RunInfo{Hash: "h"})
+	resp, err := r.Run(bin, &worker.Request{Stdin: "hello\n"}, worker.RunInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestNativeRuntimeErrorIsData(t *testing.T) {
 	r := worker.NewNativeRunner(worker.NativeOptions{Logf: t.Logf})
 	defer r.Close()
 
-	resp, err := r.Run(bin, &worker.Request{RequestID: "r1"}, worker.RunInfo{Hash: "h1"})
+	resp, err := r.Run(bin, &worker.Request{RequestID: "r1"}, worker.RunInfo{})
 	if err != nil {
 		t.Fatalf("a Tetra runtime error must be data, got %v", err)
 	}
@@ -113,7 +113,7 @@ func TestNativeEnvHygiene(t *testing.T) {
 	defer r.Close()
 
 	// Unlimited request: the supervisor's budgets must not leak in.
-	resp, err := r.Run(bin, &worker.Request{}, worker.RunInfo{Hash: "a"})
+	resp, err := r.Run(bin, &worker.Request{}, worker.RunInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestNativeEnvHygiene(t *testing.T) {
 	}
 
 	// Tight request budget: it must be derived into the child and trip.
-	resp, err = r.Run(bin, &worker.Request{Limits: guard.Limits{MaxSteps: 5}}, worker.RunInfo{Hash: "a"})
+	resp, err = r.Run(bin, &worker.Request{Limits: guard.Limits{MaxSteps: 5}}, worker.RunInfo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,22 +136,23 @@ func TestNativeEnvHygiene(t *testing.T) {
 
 func TestNativeCrashClassifiedAndQuarantined(t *testing.T) {
 	// Exit 1 with no "runtime error:" diagnostic is an artifact crash,
-	// not program data.
+	// not program data. Every crash reaches the caller's quarantine
+	// breaker through OnCrash; the runner keeps no breaker of its own, so
+	// a tripped breaker (OnCrash answering true) does not stop the next
+	// run — the server checks its breaker before dispatching.
 	bin := scriptArtifact(t, "exit 1")
 	var crashes []worker.Crash
 	var mu sync.Mutex
-	r := worker.NewNativeRunner(worker.NativeOptions{
-		Quarantine: worker.QuarantinePolicy{Threshold: 2, Window: time.Minute, TTL: time.Minute},
-		Logf:       t.Logf,
-	})
+	r := worker.NewNativeRunner(worker.NativeOptions{Logf: t.Logf})
 	defer r.Close()
 
-	info := worker.RunInfo{Hash: "hq", OnCrash: func(c worker.Crash) {
+	info := worker.RunInfo{OnCrash: func(c worker.Crash) bool {
 		mu.Lock()
+		defer mu.Unlock()
 		crashes = append(crashes, c)
-		mu.Unlock()
+		return len(crashes) >= 2
 	}}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		_, err := r.Run(bin, &worker.Request{}, info)
 		var ne *worker.NativeCrashError
 		if !errors.As(err, &ne) {
@@ -160,25 +161,16 @@ func TestNativeCrashClassifiedAndQuarantined(t *testing.T) {
 	}
 	mu.Lock()
 	n := len(crashes)
+	last := crashes[n-1]
 	mu.Unlock()
-	if n != 2 {
-		t.Fatalf("OnCrash fired %d times, want 2", n)
+	if n != 3 {
+		t.Fatalf("OnCrash fired %d times, want 3", n)
 	}
-	if _, q := r.Quarantined("hq"); !q {
-		t.Fatal("two crashes should trip the breaker")
-	}
-	var qe *worker.QuarantinedError
-	if _, err := r.Run(bin, &worker.Request{}, info); !errors.As(err, &qe) {
-		t.Fatalf("quarantined hash still ran: %v", err)
-	}
-
-	// A fresh artifact acquits the hash: the breaker must reset.
-	r.Acquit("hq")
-	if _, q := r.Quarantined("hq"); q {
-		t.Fatal("Acquit did not clear the quarantine")
+	if last.PID == 0 || last.Attempt != 1 || last.Reason == "" {
+		t.Errorf("crash forensics incomplete: %+v", last)
 	}
 	st := r.Stats()
-	if st.Crashes != 2 || st.Spawns != 2 || st.Reaped != 2 {
+	if st.Crashes != 3 || st.Spawns != 3 || st.Reaped != 3 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -191,7 +183,7 @@ func TestNativeKillFaultDrivesCrash(t *testing.T) {
 	defer r.Close()
 
 	start := time.Now()
-	_, err := r.Run(bin, &worker.Request{}, worker.RunInfo{Hash: "hk"})
+	_, err := r.Run(bin, &worker.Request{}, worker.RunInfo{})
 	var ne *worker.NativeCrashError
 	if !errors.As(err, &ne) {
 		t.Fatalf("want NativeCrashError, got %v", err)
@@ -218,7 +210,7 @@ func TestNativeStopCancelsRun(t *testing.T) {
 		close(stop)
 	}()
 	start := time.Now()
-	_, err := r.Run(bin, &worker.Request{}, worker.RunInfo{Hash: "hs", Stop: stop})
+	_, err := r.Run(bin, &worker.Request{}, worker.RunInfo{Stop: stop})
 	if !errors.Is(err, worker.ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
 	}
@@ -238,7 +230,7 @@ func TestNativeDeadlineOverrunKillsStuckArtifact(t *testing.T) {
 	start := time.Now()
 	_, err := r.Run(bin,
 		&worker.Request{Limits: guard.Limits{Deadline: 100 * time.Millisecond}},
-		worker.RunInfo{Hash: "hd"})
+		worker.RunInfo{})
 	var ne *worker.NativeCrashError
 	if !errors.As(err, &ne) {
 		t.Fatalf("want NativeCrashError, got %v", err)
@@ -257,7 +249,7 @@ func TestNativeDeadlineOverrunKillsStuckArtifact(t *testing.T) {
 func TestNativeSpawnFailureIsCrash(t *testing.T) {
 	r := worker.NewNativeRunner(worker.NativeOptions{Logf: t.Logf})
 	defer r.Close()
-	_, err := r.Run(filepath.Join(t.TempDir(), "missing.bin"), &worker.Request{}, worker.RunInfo{Hash: "hm"})
+	_, err := r.Run(filepath.Join(t.TempDir(), "missing.bin"), &worker.Request{}, worker.RunInfo{})
 	var ne *worker.NativeCrashError
 	if !errors.As(err, &ne) {
 		t.Fatalf("want NativeCrashError, got %v", err)

@@ -32,6 +32,25 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
+// QuarantinePolicy configures the circuit breaker for programs that
+// repeatedly kill their workers: after Threshold crashes attributed to
+// one program within Window, it is quarantined for TTL — requests for it
+// are answered with a 422 instead of burning more workers. The
+// supervisors only report crashes (RunInfo.OnCrash); the breaker that
+// applies this policy is owned by the server.
+type QuarantinePolicy struct {
+	// Threshold is the crash count that trips the breaker. 0 selects
+	// the default (3); negative disables quarantine entirely.
+	Threshold int
+	// Window bounds how far back crashes count toward the threshold
+	// (default 1 minute).
+	Window time.Duration
+	// TTL is how long a tripped program stays quarantined (default 5
+	// minutes). After the TTL the breaker resets and the program gets a
+	// fresh start.
+	TTL time.Duration
+}
+
 // Options configures a Pool.
 type Options struct {
 	// Cmd is the argv spawning one worker process (required). The pool
@@ -62,10 +81,8 @@ type Options struct {
 	// Defaults 25ms and 2s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Retry bounds attempts per request; Quarantine trips repeatedly
-	// crashing programs.
-	Retry      RetryPolicy
-	Quarantine QuarantinePolicy
+	// Retry bounds attempts per request.
+	Retry RetryPolicy
 	// Logf, when set, receives supervision events (spawn failures,
 	// crash forensics).
 	Logf func(format string, args ...any)
@@ -94,8 +111,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Sentinel errors Run answers with. CrashedError and QuarantinedError
-// carry detail.
+// Sentinel errors Run answers with. CrashedError carries detail.
 var (
 	// ErrExhausted: no idle worker within LeaseTimeout. The caller
 	// should degrade to in-process execution.
@@ -106,20 +122,8 @@ var (
 	ErrCancelled = errors.New("execution cancelled")
 )
 
-// QuarantinedError: the program hash is circuit-broken after repeatedly
-// killing workers.
-type QuarantinedError struct {
-	Hash      string
-	Remaining time.Duration
-}
-
-func (e *QuarantinedError) Error() string {
-	return fmt.Sprintf("program quarantined after repeatedly crashing execution workers (hash %s, %s remaining)",
-		e.Hash, e.Remaining.Round(time.Second))
-}
-
 // CrashedError: every attempt crashed its worker and the retry budget
-// is spent.
+// is spent, or the caller stopped the retries from OnCrash.
 type CrashedError struct {
 	Attempts   int
 	LastReason string
@@ -137,16 +141,17 @@ type Crash struct {
 	StderrTail string
 }
 
-// RunInfo is the per-call context for Pool.Run.
+// RunInfo is the per-call context for Pool.Run and NativeRunner.Run.
+// The zero value runs without cancellation or crash reporting.
 type RunInfo struct {
-	// Hash is the quarantine key (HashProgram); empty skips quarantine
-	// accounting.
-	Hash string
 	// Stop, when closed, cancels the attempt (the worker is killed —
 	// it is mid-request and cannot be reused).
 	Stop <-chan struct{}
-	// OnCrash receives forensics for every worker this call killed.
-	OnCrash func(Crash)
+	// OnCrash receives forensics for every worker this call killed —
+	// the input of the caller's quarantine breaker. Returning true
+	// stops the pool's retry loop (the breaker tripped); the native
+	// runner makes one attempt regardless.
+	OnCrash func(Crash) (stop bool)
 }
 
 // Stats is a point-in-time snapshot of the pool counters.
@@ -161,14 +166,16 @@ type Stats struct {
 	Reaped        int64 `json:"reaped"`
 	Live          int   `json:"live"`
 	Idle          int   `json:"idle"`
-	Quarantined   int   `json:"quarantined"`
+	// Quarantined counts programs quarantined on the pool's engines.
+	// The pool keeps no breaker: Stats leaves it zero and the breaker's
+	// owner (the server) fills it in.
+	Quarantined int `json:"quarantined"`
 }
 
 // Pool is the worker supervisor. Create with NewPool; safe for
 // concurrent use. Close kills and reaps every worker.
 type Pool struct {
 	opts Options
-	quar *quarantine
 
 	idle    chan *proc
 	closeCh chan struct{}
@@ -192,7 +199,6 @@ func NewPool(opts Options) *Pool {
 	opts = opts.withDefaults()
 	p := &Pool{
 		opts:    opts,
-		quar:    newQuarantine(opts.Quarantine),
 		idle:    make(chan *proc, opts.Size),
 		closeCh: make(chan struct{}),
 		live:    make(map[*proc]struct{}),
@@ -206,19 +212,6 @@ func NewPool(opts Options) *Pool {
 	}
 	return p
 }
-
-// Quarantined reports whether hash is circuit-broken, with the
-// remaining quarantine time.
-func (p *Pool) Quarantined(hash string) (time.Duration, bool) {
-	return p.quar.Quarantined(hash)
-}
-
-// Acquit clears hash's quarantine state and crash history. Callers use
-// it when the program behind the hash has materially changed — e.g. a
-// fresh native artifact was built — so old crashes stop counting
-// against the new binary and a stale 422 cannot outlive a successful
-// rebuild.
-func (p *Pool) Acquit(hash string) { p.quar.Invalidate(hash) }
 
 // Stats snapshots the pool counters.
 func (p *Pool) Stats() Stats {
@@ -236,19 +229,13 @@ func (p *Pool) Stats() Stats {
 		Reaped:        p.reaped.Load(),
 		Live:          live,
 		Idle:          len(p.idle),
-		Quarantined:   p.quar.Count(),
 	}
 }
 
 // Run executes req on a pooled worker, transparently retrying on a
-// fresh worker when one crashes (up to the retry budget), recording
-// crashes against info.Hash for the quarantine breaker.
+// fresh worker when one crashes (up to the retry budget, or until
+// info.OnCrash asks to stop).
 func (p *Pool) Run(req *Request, info RunInfo) (*Response, error) {
-	if info.Hash != "" {
-		if d, ok := p.quar.Quarantined(info.Hash); ok {
-			return nil, &QuarantinedError{Hash: info.Hash, Remaining: d}
-		}
-	}
 	timeout := p.opts.AttemptTimeout
 	if req.Limits.Deadline > 0 {
 		timeout = req.Limits.Deadline + p.opts.PipeMargin
@@ -287,14 +274,10 @@ func (p *Pool) Run(req *Request, info RunInfo) (*Response, error) {
 		tail := pr.stderr.Tail()
 		lastReason = rtErr.Error()
 		p.crashes.Add(1)
-		if info.OnCrash != nil {
-			info.OnCrash(Crash{PID: pr.pid, Attempt: attempt, Reason: lastReason, StderrTail: tail})
-		}
-		p.logf("worker crash: pid=%d attempt=%d/%d req=%s hash=%s reason=%q",
-			pr.pid, attempt, maxAttempts, req.RequestID, info.Hash, lastReason)
-		if info.Hash != "" && p.quar.Record(info.Hash) {
-			d, _ := p.quar.Quarantined(info.Hash)
-			return nil, &QuarantinedError{Hash: info.Hash, Remaining: d}
+		p.logf("worker crash: pid=%d attempt=%d/%d req=%s reason=%q",
+			pr.pid, attempt, maxAttempts, req.RequestID, lastReason)
+		if info.OnCrash != nil && info.OnCrash(Crash{PID: pr.pid, Attempt: attempt, Reason: lastReason, StderrTail: tail}) {
+			return nil, &CrashedError{Attempts: attempt, LastReason: lastReason}
 		}
 		if attempt < maxAttempts {
 			p.retries.Add(1)

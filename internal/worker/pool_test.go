@@ -127,9 +127,6 @@ func TestPoolRetriesAcrossCrashes(t *testing.T) {
 		Size:  2,
 		Env:   []string{"TETRA_FAULTS=worker-exit=0.5"},
 		Retry: worker.RetryPolicy{MaxAttempts: 4},
-		// Disable quarantine: the whole point here is repeated crashes
-		// of one hash.
-		Quarantine: worker.QuarantinePolicy{Threshold: -1},
 	})
 	waitIdleWorkers(t, p, 2, 5*time.Second)
 
@@ -137,8 +134,7 @@ func TestPoolRetriesAcrossCrashes(t *testing.T) {
 	ok := 0
 	for i := 0; i < 24; i++ {
 		resp, err := p.Run(req("def main():\n    print(6 * 7)\n", "interp"), worker.RunInfo{
-			Hash:    worker.HashProgram("t.ttr", "x", "interp", 0),
-			OnCrash: func(worker.Crash) { crashes.Add(1) },
+			OnCrash: func(worker.Crash) bool { crashes.Add(1); return false },
 		})
 		if err != nil {
 			// A run can exhaust 4 attempts at p=0.5 (6% each) or catch
@@ -166,16 +162,15 @@ func TestPoolRetriesAcrossCrashes(t *testing.T) {
 
 func TestPoolPanicCrashForensics(t *testing.T) {
 	p := selfPool(t, worker.Options{
-		Size:       1,
-		Env:        []string{"TETRA_FAULTS=worker-panic=1"},
-		Retry:      worker.RetryPolicy{MaxAttempts: 2},
-		Quarantine: worker.QuarantinePolicy{Threshold: -1},
+		Size:  1,
+		Env:   []string{"TETRA_FAULTS=worker-panic=1"},
+		Retry: worker.RetryPolicy{MaxAttempts: 2},
 	})
 	waitIdleWorkers(t, p, 1, 5*time.Second)
 
 	var lastCrash worker.Crash
 	_, err := p.Run(req("def main():\n    print(1)\n", "interp"), worker.RunInfo{
-		OnCrash: func(c worker.Crash) { lastCrash = c },
+		OnCrash: func(c worker.Crash) bool { lastCrash = c; return false },
 	})
 	var ce *worker.CrashedError
 	if !errors.As(err, &ce) {
@@ -198,7 +193,6 @@ func TestPoolDeadlineOverrunKillsStuckWorker(t *testing.T) {
 		Env:        []string{"TETRA_FAULTS=worker-delay=1:30s"},
 		PipeMargin: 200 * time.Millisecond,
 		Retry:      worker.RetryPolicy{MaxAttempts: 1},
-		Quarantine: worker.QuarantinePolicy{Threshold: -1},
 	})
 	waitIdleWorkers(t, p, 1, 5*time.Second)
 
@@ -218,10 +212,9 @@ func TestPoolDeadlineOverrunKillsStuckWorker(t *testing.T) {
 
 func TestPoolPipeCorruptionDetected(t *testing.T) {
 	p := selfPool(t, worker.Options{
-		Size:       1,
-		Env:        []string{"TETRA_FAULTS=pipe-truncate=1"},
-		Retry:      worker.RetryPolicy{MaxAttempts: 1},
-		Quarantine: worker.QuarantinePolicy{Threshold: -1},
+		Size:  1,
+		Env:   []string{"TETRA_FAULTS=pipe-truncate=1"},
+		Retry: worker.RetryPolicy{MaxAttempts: 1},
 	})
 	waitIdleWorkers(t, p, 1, 5*time.Second)
 
@@ -232,40 +225,34 @@ func TestPoolPipeCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestPoolQuarantineCircuitBreaker: the pool keeps no breaker, but it
+// reports every crash through OnCrash and stops retrying the moment the
+// caller's breaker trips — a worker-killer burns no workers beyond the
+// threshold.
 func TestPoolQuarantineCircuitBreaker(t *testing.T) {
 	p := selfPool(t, worker.Options{
-		Size:       1,
-		Env:        []string{"TETRA_FAULTS=worker-panic=1"},
-		Retry:      worker.RetryPolicy{MaxAttempts: 2},
-		Quarantine: worker.QuarantinePolicy{Threshold: 2, Window: time.Minute, TTL: time.Minute},
+		Size:  1,
+		Env:   []string{"TETRA_FAULTS=worker-panic=1"},
+		Retry: worker.RetryPolicy{MaxAttempts: 3},
 	})
 	waitIdleWorkers(t, p, 1, 5*time.Second)
 
-	hash := worker.HashProgram("t.ttr", "poison", "interp", 0)
-	// First call: both attempts crash; the second crash trips the
-	// breaker, so the call itself reports quarantine.
-	_, err := p.Run(req("def main():\n    print(1)\n", "interp"), worker.RunInfo{Hash: hash})
-	var qe *worker.QuarantinedError
-	if !errors.As(err, &qe) {
-		t.Fatalf("want QuarantinedError after threshold crashes, got %v", err)
+	crashes := 0
+	_, err := p.Run(req("def main():\n    print(1)\n", "interp"), worker.RunInfo{
+		OnCrash: func(worker.Crash) bool {
+			crashes++
+			return crashes == 2 // the breaker trips on the second crash
+		},
+	})
+	var ce *worker.CrashedError
+	if !errors.As(err, &ce) || ce.Attempts != 2 {
+		t.Fatalf("want CrashedError after 2 attempts, got %v", err)
 	}
-	// Subsequent calls are rejected without burning a worker.
-	crashesBefore := p.Stats().Crashes
-	_, err = p.Run(req("def main():\n    print(1)\n", "interp"), worker.RunInfo{Hash: hash})
-	if !errors.As(err, &qe) {
-		t.Fatalf("want immediate QuarantinedError, got %v", err)
+	if crashes != 2 {
+		t.Errorf("OnCrash fired %d times, want 2", crashes)
 	}
-	if qe.Remaining <= 0 {
-		t.Errorf("quarantine remaining = %v, want > 0", qe.Remaining)
-	}
-	if got := p.Stats().Crashes; got != crashesBefore {
-		t.Errorf("quarantined request still reached a worker (%d -> %d crashes)", crashesBefore, got)
-	}
-	if d, ok := p.Quarantined(hash); !ok || d <= 0 {
-		t.Errorf("Quarantined(%s) = %v, %v", hash, d, ok)
-	}
-	if st := p.Stats(); st.Quarantined != 1 {
-		t.Errorf("quarantined count = %d, want 1", st.Quarantined)
+	if st := p.Stats(); st.Crashes != 2 || st.Retries != 1 {
+		t.Errorf("retries went on after the breaker tripped: %+v", st)
 	}
 }
 
@@ -374,23 +361,6 @@ func TestPoolCancelStopsAttempt(t *testing.T) {
 	}
 }
 
-func TestHashProgramDistinguishesIdentity(t *testing.T) {
-	base := worker.HashProgram("a.ttr", "src", "vm", 2)
-	for _, other := range []string{
-		worker.HashProgram("b.ttr", "src", "vm", 2),
-		worker.HashProgram("a.ttr", "src2", "vm", 2),
-		worker.HashProgram("a.ttr", "src", "interp", 2),
-		worker.HashProgram("a.ttr", "src", "vm", 0),
-	} {
-		if other == base {
-			t.Errorf("hash collision across identities")
-		}
-	}
-	if worker.HashProgram("a.ttr", "src", "vm", 2) != base {
-		t.Error("hash not deterministic")
-	}
-}
-
 func settledGoroutines() int {
 	runtime.GC()
 	time.Sleep(50 * time.Millisecond)
@@ -409,50 +379,6 @@ func goroutinesAbove(baseline int, wait time.Duration) int {
 			return n - baseline
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// TestPoolAcquitLiftsQuarantine: when the native tier publishes a fresh
-// artifact for a program, the server acquits its hash — crash history
-// recorded against the previous binary must not keep answering 422.
-func TestPoolAcquitLiftsQuarantine(t *testing.T) {
-	p := selfPool(t, worker.Options{
-		Size:       1,
-		Env:        []string{"TETRA_FAULTS=worker-panic=1"},
-		Retry:      worker.RetryPolicy{MaxAttempts: 2},
-		Quarantine: worker.QuarantinePolicy{Threshold: 2, Window: time.Minute, TTL: time.Minute},
-	})
-	waitIdleWorkers(t, p, 1, 5*time.Second)
-
-	hash := worker.HashProgram("t.ttr", "poison", "interp", 0)
-	_, err := p.Run(req("def main():\n    print(1)\n", "interp"), worker.RunInfo{Hash: hash})
-	var qe *worker.QuarantinedError
-	if !errors.As(err, &qe) {
-		t.Fatalf("want QuarantinedError after threshold crashes, got %v", err)
-	}
-	if st := p.Stats(); st.Quarantined != 1 {
-		t.Fatalf("quarantined count = %d, want 1", st.Quarantined)
-	}
-
-	p.Acquit(hash)
-	if _, ok := p.Quarantined(hash); ok {
-		t.Fatal("Acquit left the hash quarantined")
-	}
-	if st := p.Stats(); st.Quarantined != 0 {
-		t.Errorf("quarantined count after Acquit = %d, want 0", st.Quarantined)
-	}
-	// Acquitting an unknown hash is a no-op, not a panic.
-	p.Acquit("no-such-hash")
-
-	// The program reaches workers again: the next run burns real
-	// attempts (and crashes, faults still armed) instead of a 422 shortcut.
-	crashesBefore := p.Stats().Crashes
-	_, err = p.Run(req("def main():\n    print(1)\n", "interp"), worker.RunInfo{Hash: hash})
-	if err == nil {
-		t.Fatal("faulted worker run unexpectedly succeeded")
-	}
-	if got := p.Stats().Crashes; got == crashesBefore {
-		t.Error("acquitted program never reached a worker")
 	}
 }
 

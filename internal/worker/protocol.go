@@ -18,18 +18,13 @@
 //     enters when re-exec'd by the pool (cmd/tetrad -worker);
 //   - Pool (pool.go): the supervisor — pre-forked workers, lease per
 //     request, crash detection (death, corruption, deadline overrun),
-//     restart with exponential backoff + jitter, transparent bounded
-//     retry, and a quarantine circuit breaker for programs that
-//     repeatedly kill their workers (quarantine.go).
+//     restart with exponential backoff + jitter, and transparent bounded
+//     retry. Supervision is about processes: each crash is reported to
+//     the caller (RunInfo.OnCrash), whose quarantine breaker decides
+//     which programs are poisoned and may stop the retries.
 package worker
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-
-	"repro/internal/guard"
-)
+import "repro/internal/guard"
 
 // Request is one execution order sent to a worker. The server has
 // already validated the request and clamped Limits by its ceiling; the
@@ -94,19 +89,4 @@ type TraceInfo struct {
 	// events from the start of the run were discarded before analysis.
 	Truncated bool  `json:"truncated,omitempty"`
 	Dropped   int64 `json:"dropped,omitempty"`
-}
-
-// HashProgram derives the quarantine key for one executable identity:
-// file, source, backend and optimization level together, so a program
-// that only kills the VM path does not get the interpreter path
-// quarantined as collateral.
-func HashProgram(file, source, backend string, opt int) string {
-	h := sha256.New()
-	h.Write([]byte(file))
-	h.Write([]byte{0})
-	h.Write([]byte(source))
-	h.Write([]byte{0})
-	fmt.Fprintf(h, "%s:%d", backend, opt)
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:12])
 }
