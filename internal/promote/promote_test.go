@@ -299,6 +299,36 @@ func TestDemoteCoolsThenPins(t *testing.T) {
 	}
 }
 
+// TestKeyDistinguishesPrograms: the Manager tracks hotness per program
+// identity. File name and source each make a different program; the
+// same (file, source) is the same program whether it arrives through
+// Observe or through Dispatch with its precomputed ID.
+func TestKeyDistinguishesPrograms(t *testing.T) {
+	m := New(Config{Threshold: 1000, BuildDir: t.TempDir(), Logf: t.Logf})
+	if !m.Enabled() {
+		t.Skip("no Go toolchain/module; native tier disabled")
+	}
+	defer m.Close()
+
+	m.Observe("a.ttr", helloSrc)
+	m.Observe("b.ttr", helloSrc)
+	m.Observe("a.ttr", helloSrc+"\n")
+	if st := m.Stats(); st.Tracked != 3 {
+		t.Fatalf("tracked %d programs, want 3 (file name and source both part of the key)", st.Tracked)
+	}
+	id := core.NewProgramID("a.ttr", helloSrc)
+	m.Dispatch(id, "a.ttr", helloSrc)
+	if st := m.Stats(); st.Tracked != 3 {
+		t.Fatalf("tracked %d programs after a repeat, want 3 (key not deterministic)", st.Tracked)
+	}
+	m.mu.Lock()
+	count := m.byKey[id].count
+	m.mu.Unlock()
+	if count != 2 {
+		t.Errorf("a.ttr observed %d times, want 2", count)
+	}
+}
+
 func TestDisabledManagerIsInert(t *testing.T) {
 	// Point the build dir at a path that cannot be created: the Manager
 	// must disable itself rather than fail requests later.

@@ -361,6 +361,43 @@ func TestPoolCancelStopsAttempt(t *testing.T) {
 	}
 }
 
+// TestHashProgramDistinguishesIdentity: the worker's compile cache keys
+// a program by its identity (file name and source) and, for bytecode,
+// by optimization level. Changing any one of them must miss; repeating
+// the same identity must hit.
+func TestHashProgramDistinguishesIdentity(t *testing.T) {
+	cache := core.NewCompileCache(16)
+	run := func(file, src string, opt int) bool {
+		t.Helper()
+		r := req(src, "vm")
+		r.File, r.Opt = file, opt
+		resp := worker.Execute(r, cache)
+		if !resp.OK {
+			t.Fatalf("%s -O%d: %+v", file, opt, resp)
+		}
+		return resp.CacheHit
+	}
+	src := "def main():\n    print(1)\n"
+	if run("a.ttr", src, 2) {
+		t.Fatal("first run hit an empty cache")
+	}
+	for _, other := range []struct {
+		file, src string
+		opt       int
+	}{
+		{"b.ttr", src, 2},
+		{"a.ttr", src + "\n", 2},
+		{"a.ttr", src, 0},
+	} {
+		if run(other.file, other.src, other.opt) {
+			t.Errorf("%s -O%d (%q) shared a cache entry with a.ttr -O2", other.file, other.opt, other.src)
+		}
+	}
+	if !run("a.ttr", src, 2) {
+		t.Error("repeating an identity missed the cache")
+	}
+}
+
 func settledGoroutines() int {
 	runtime.GC()
 	time.Sleep(50 * time.Millisecond)
@@ -379,6 +416,40 @@ func goroutinesAbove(baseline int, wait time.Duration) int {
 			return n - baseline
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestPoolAcquitLiftsQuarantine: the pool keeps no quarantine of its
+// own. Once the caller's breaker lets a program through again (the
+// server acquits it when the native tier publishes a fresh artifact),
+// the next run reaches workers and burns real attempts; a tripped
+// breaker on an earlier call leaves nothing behind in the pool.
+func TestPoolAcquitLiftsQuarantine(t *testing.T) {
+	p := selfPool(t, worker.Options{
+		Size:  1,
+		Env:   []string{"TETRA_FAULTS=worker-panic=1"},
+		Retry: worker.RetryPolicy{MaxAttempts: 2},
+	})
+	waitIdleWorkers(t, p, 1, 5*time.Second)
+
+	quarantined := true
+	info := worker.RunInfo{OnCrash: func(worker.Crash) bool { return quarantined }}
+	var ce *worker.CrashedError
+	if _, err := p.Run(req("def main():\n    print(1)\n", "interp"), info); !errors.As(err, &ce) || ce.Attempts != 1 {
+		t.Fatalf("want CrashedError after 1 attempt while quarantined, got %v", err)
+	}
+	if st := p.Stats(); st.Quarantined != 0 {
+		t.Errorf("pool reports %d quarantined programs; it keeps no breaker", st.Quarantined)
+	}
+
+	quarantined = false // acquitted
+	crashesBefore := p.Stats().Crashes
+	_, err := p.Run(req("def main():\n    print(1)\n", "interp"), info)
+	if !errors.As(err, &ce) || ce.Attempts != 2 {
+		t.Fatalf("want CrashedError after the full retry budget once acquitted, got %v", err)
+	}
+	if got := p.Stats().Crashes - crashesBefore; got != 2 {
+		t.Errorf("acquitted program crashed %d workers, want 2 (every attempt reached a worker)", got)
 	}
 }
 
